@@ -21,9 +21,30 @@
 use crate::common::{merge_phase_store, QueryPlan};
 use crate::config::AlgoConfig;
 use crate::outcome::{AdaptEvent, NodeOutcome};
-use adaptagg_exec::{operators, Exchange, ExecError, NodeCtx, PhaseKind, SwitchCause};
+use adaptagg_exec::operators::{self, ScanInput};
+use adaptagg_exec::{Exchange, ExecError, NodeCtx, PhaseKind, SwitchCause, MORSEL_PASS};
 use adaptagg_hashagg::{AggTable, Inserted};
-use adaptagg_model::RowKind;
+use adaptagg_model::{CostEvent, CostTracker, RowKind, Value};
+use adaptagg_storage::{Page, StripView};
+
+/// Per-tuple charges of a tuple forwarded raw after the switch, in
+/// row-loop order: scan read, select copy-out, then the exchange's hash
+/// and destination computation.
+const SCAN_ROUTE: [CostEvent; 4] = [
+    CostEvent::TupleRead,
+    CostEvent::TupleWrite,
+    CostEvent::TupleHash,
+    CostEvent::TupleDest,
+];
+
+/// Charges of the tuple that fills the table, up to the switch: scan
+/// read, select copy-out, then the refused insert's read and hash.
+const SCAN_REFUSED: [CostEvent; 4] = [
+    CostEvent::TupleRead,
+    CostEvent::TupleWrite,
+    CostEvent::TupleRead,
+    CostEvent::TupleHash,
+];
 
 /// Run Adaptive Two Phase on one node.
 pub fn run_node(
@@ -31,44 +52,29 @@ pub fn run_node(
     plan: &QueryPlan,
     cfg: &AlgoConfig,
 ) -> Result<NodeOutcome, ExecError> {
-    run_node_with(ctx, plan, cfg, Vec::new(), 0, None)
-}
-
-/// A2P with pre-received traffic and an optional pre-seeded local table
-/// (Adaptive Repartitioning falls back into this with whatever it had).
-pub fn run_node_with(
-    ctx: &mut NodeCtx,
-    plan: &QueryPlan,
-    cfg: &AlgoConfig,
-    pre_received: Vec<(RowKind, adaptagg_net::Page)>,
-    pre_eos: usize,
-    // (scanned_so_far, exchange) when resuming mid-scan — used by ARep.
-    resume: Option<ResumeState>,
-) -> Result<NodeOutcome, ExecError> {
     let max_entries = ctx.params().max_hash_entries;
     let fanout = cfg.overflow_fanout;
     let mut events = Vec::new();
-
-    let resuming = resume.is_some();
-    let (mut scan, mut ex) = match resume {
-        Some(r) => (r.scan, r.exchange),
-        None => (
-            ScanState::new(plan, max_entries).with_grant(ctx.grant().clone()),
-            Exchange::new(
-                ctx.nodes(),
-                ctx.params().message_bytes,
-                plan.key_len(),
-                RowKind::Partial,
-            ),
-        ),
-    };
+    let mut scan = ScanState::new(plan, max_entries).with_grant(ctx.grant().clone());
+    let mut ex = Exchange::new(
+        ctx.nodes(),
+        ctx.params().message_bytes,
+        plan.key_len(),
+        RowKind::Partial,
+    );
 
     ctx.span_start(PhaseKind::Scan);
-    let scanned = if !resuming && ctx.recovery.is_some() {
+    let scanned = if ctx.recovery.is_some() {
         checkpointed_scan(ctx, plan, &mut scan, &mut ex, &mut events)
+    } else if plan.base.filter.is_empty() {
+        // Unfiltered: eligible pages take the page-at-a-time arm.
+        operators::scan_project_pages(ctx, "base", &plan.projection, |ctx, input| match input {
+            ScanInput::Page(page) => scan.push_page(ctx, &mut ex, plan, page, &mut events),
+            ScanInput::Row(values) => scan.push(ctx, &mut ex, values, &mut events).map(|()| true),
+        })
     } else {
         operators::scan_project(ctx, "base", &plan.base.filter, &plan.projection, |ctx, values| {
-            scan.push(ctx, &mut ex, plan, values, &mut events)
+            scan.push(ctx, &mut ex, values, &mut events)
         })
         .map(|_| ())
     };
@@ -91,8 +97,7 @@ pub fn run_node_with(
     ctx.clock.mark("phase1");
 
     // Merge phase: raw + partial interleaved, one bounded table.
-    let (rows, mut agg) =
-        merge_phase_store(ctx, plan, max_entries, fanout, pre_received, pre_eos)?;
+    let (rows, mut agg) = merge_phase_store(ctx, plan, max_entries, fanout, Vec::new(), 0)?;
     agg.raw_in += scan.raw_seen;
     Ok(NodeOutcome { rows, agg, events })
 }
@@ -133,7 +138,7 @@ fn checkpointed_scan(
                     &plan.projection,
                     seg.start_page + done,
                     seg.start_page + chunk_end,
-                    |ctx, values| scan.push(ctx, ex, plan, values, events),
+                    |ctx, values| scan.push(ctx, ex, values, events),
                 )?;
                 if !scan.switched {
                     let partials = scan.table.drain_partial_rows(&mut ctx.clock);
@@ -164,7 +169,7 @@ fn route_partials_now(
     ctx: &mut NodeCtx,
     ex: &mut Exchange,
     switched: bool,
-    rows: &[Vec<adaptagg_model::Value>],
+    rows: &[Vec<Value>],
 ) -> Result<(), ExecError> {
     if rows.is_empty() {
         return Ok(());
@@ -188,6 +193,8 @@ pub struct ScanState {
     pub switched: bool,
     /// Tuples scanned so far.
     pub raw_seen: u64,
+    /// Scratch for the tuple that fills the table mid-page.
+    row: Vec<Value>,
 }
 
 impl ScanState {
@@ -197,6 +204,7 @@ impl ScanState {
             table: AggTable::new(plan.projected.clone(), max_entries),
             switched: false,
             raw_seen: 0,
+            row: Vec::new(),
         }
     }
 
@@ -214,46 +222,113 @@ impl ScanState {
         &mut self,
         ctx: &mut NodeCtx,
         ex: &mut Exchange,
-        _plan: &QueryPlan,
-        values: &[adaptagg_model::Value],
+        values: &[Value],
         events: &mut Vec<AdaptEvent>,
     ) -> Result<(), ExecError> {
         self.raw_seen += 1;
         if self.switched {
             // Repartitioning mode: hash + destination per tuple.
-            ex.route(ctx, values, true)?;
-            return Ok(());
+            return ex.route(ctx, values, true);
         }
         match self.table.insert_raw(values, &mut ctx.clock)? {
             Inserted::Updated | Inserted::New => Ok(()),
             Inserted::Full => {
-                // The switch (§3.2): flush accumulated partials to their
-                // owners, freeing memory, then forward raws.
-                let partials = self.table.drain_partial_rows(&mut ctx.clock);
-                ex.switch_kind(ctx, RowKind::Partial)?;
-                ex.route_rows(ctx, &partials, false)?;
-                ex.switch_kind(ctx, RowKind::Raw)?;
-                self.switched = true;
-                events.push(AdaptEvent::SwitchedToRepartitioning {
-                    at_tuple: self.raw_seen,
-                });
-                ctx.trace_switch(SwitchCause::TableFull, self.raw_seen);
-                // The tuple that triggered the switch is forwarded raw
-                // (its hash was already charged by the failed insert).
-                ex.route(ctx, values, false)?;
-                Ok(())
+                self.switch(ctx, ex, events)?;
+                ex.route(ctx, values, false)
             }
         }
     }
-}
 
-/// State handed over by Adaptive Repartitioning when it falls back (§3.3).
-#[derive(Debug)]
-pub struct ResumeState {
-    /// The scan state (table possibly pre-seeded, counters running).
-    pub scan: ScanState,
-    /// The exchange (with its buffered pages and current kind).
-    pub exchange: Exchange,
+    /// Process one whole unfiltered base page: [`ScanState::push`] over
+    /// its projected rows, with identical charges, switch point, routes
+    /// and send timestamps. Before the switch, the page's keys are hashed
+    /// in one kernel pass and probed until the first row the table
+    /// refuses; the accepted prefix is charged as one batch and its
+    /// deferred aggregate updates are applied before the switch drains
+    /// the table. After the switch, the rest of the page is routed from
+    /// one partition-hash pass. Returns `Ok(false)`, having done nothing,
+    /// for a page that takes the row arm instead (see
+    /// [`ScanState::takes_page`]).
+    pub fn push_page(
+        &mut self,
+        ctx: &mut NodeCtx,
+        ex: &mut Exchange,
+        plan: &QueryPlan,
+        page: &Page,
+        events: &mut Vec<AdaptEvent>,
+    ) -> Result<bool, ExecError> {
+        if !self.takes_page(page, plan) {
+            return Ok(false);
+        }
+        let cols = &plan.projection;
+        let rows = page.tuple_count();
+        // Rows past a scheduled crash are never touched.
+        let live = ctx.fault_ticks(rows);
+        let mut r = 0;
+        if !self.switched {
+            r = self.table.insert_rows_until_full(page, cols, 0..live);
+            ctx.clock.record_tuples(&MORSEL_PASS, r as u64);
+            self.raw_seen += r as u64;
+            if r < live {
+                // Row `r` found the table full.
+                ctx.clock.record_tuples(&SCAN_REFUSED, 1);
+                self.raw_seen += 1;
+                self.switch(ctx, ex, events)?;
+                page.project_row_into(cols, r, &mut self.row);
+                ex.route(ctx, &self.row, false)?;
+                r += 1;
+            }
+        }
+        if r < live {
+            ex.route_page_rows(ctx, page, cols, r..live, &SCAN_ROUTE)?;
+            self.raw_seen += (live - r) as u64;
+        }
+        if live < rows {
+            // The crash tuple fails exactly where the row loop would.
+            ctx.fault_tick()?;
+        }
+        Ok(true)
+    }
+
+    /// Whether `page` takes the page-at-a-time arm: a non-empty
+    /// projection, one arity holding every projected column, `Int` key
+    /// strips, and aggregate inputs the table's batched probe accepts
+    /// (`Int` strips; see [`AggTable::accepts_page`]).
+    fn takes_page(&self, page: &Page, plan: &QueryPlan) -> bool {
+        let cols = &plan.projection;
+        !cols.is_empty()
+            && page
+                .uniform_arity()
+                .is_some_and(|arity| cols.iter().all(|&c| c < arity))
+            && cols
+                .iter()
+                .take(plan.key_len())
+                .all(|&c| matches!(page.column(c), Some(StripView::Ints(_))))
+            && self.table.accepts_page(page, cols)
+    }
+
+    /// The switch (§3.2), fired by the tuple that found the table full:
+    /// flush the accumulated partials to their owners, freeing memory,
+    /// and forward raws from here on. The caller then forwards the
+    /// triggering tuple raw, without a hash charge (the failed insert
+    /// already charged it).
+    fn switch(
+        &mut self,
+        ctx: &mut NodeCtx,
+        ex: &mut Exchange,
+        events: &mut Vec<AdaptEvent>,
+    ) -> Result<(), ExecError> {
+        let partials = self.table.drain_partial_rows(&mut ctx.clock);
+        ex.switch_kind(ctx, RowKind::Partial)?;
+        ex.route_rows(ctx, &partials, false)?;
+        ex.switch_kind(ctx, RowKind::Raw)?;
+        self.switched = true;
+        events.push(AdaptEvent::SwitchedToRepartitioning {
+            at_tuple: self.raw_seen,
+        });
+        ctx.trace_switch(SwitchCause::TableFull, self.raw_seen);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -281,6 +356,131 @@ mod tests {
             &cfg,
         )
         .unwrap()
+    }
+
+    /// Everything observable about one node's scan: the outcome, clock
+    /// bits, scan counters, events, the table's partials, and node 1's
+    /// inbox (send timestamps as bits, plus the rows).
+    type ScanTrace = (
+        Result<(), ExecError>,
+        (u64, u64, u64),
+        (u64, bool),
+        Vec<AdaptEvent>,
+        Vec<Vec<Value>>,
+        Vec<(u64, RowKind, Vec<Vec<Value>>)>,
+    );
+
+    /// Scan `tuples` on node 0 of a 2-node fast-net cluster, through the
+    /// page arm (`paged`) or the row arm alone.
+    fn scan_node0(
+        tuples: &[Vec<Value>],
+        max_entries: usize,
+        crash_at: Option<u64>,
+        paged: bool,
+    ) -> ScanTrace {
+        use adaptagg_model::{CostParams, NetworkKind};
+        use adaptagg_net::{Control, Fabric, NodeFaults, Payload};
+        use adaptagg_storage::{HeapFile, SimDisk};
+
+        let plan = QueryPlan::new(&adaptagg_workload::default_query());
+        let mut eps = Fabric::new(2, NetworkKind::high_speed_default()).into_endpoints();
+        let ep1 = eps.pop().unwrap();
+        let mut disk = SimDisk::new();
+        disk.put(
+            "base",
+            HeapFile::from_tuples(4096, tuples.iter().map(|t| t.as_slice())).unwrap(),
+        );
+        let mut ctx = NodeCtx::new(eps.pop().unwrap(), disk, CostParams::paper_default());
+        let mut rx = NodeCtx::new(ep1, SimDisk::new(), CostParams::paper_default());
+        ctx.apply_faults(NodeFaults {
+            crash_at_tuple: crash_at,
+            slowdown_factor: 1.0,
+        });
+        let mut scan = ScanState::new(&plan, max_entries);
+        let mut ex = Exchange::new(2, 2048, plan.key_len(), RowKind::Partial);
+        let mut events = Vec::new();
+        let result = if paged {
+            operators::scan_project_pages(&mut ctx, "base", &plan.projection, |ctx, input| {
+                match input {
+                    ScanInput::Page(page) => scan.push_page(ctx, &mut ex, &plan, page, &mut events),
+                    ScanInput::Row(values) => {
+                        scan.push(ctx, &mut ex, values, &mut events).map(|()| true)
+                    }
+                }
+            })
+        } else {
+            operators::scan_project(&mut ctx, "base", &[], &plan.projection, |ctx, values| {
+                scan.push(ctx, &mut ex, values, &mut events)
+            })
+            .map(|_| ())
+        };
+        let clock = ctx.clock.clone();
+        let partials = scan.table.drain_partial_rows(&mut ctx.clock);
+        ex.finish(&mut ctx).unwrap();
+        let mut inbox = Vec::new();
+        loop {
+            let msg = rx.recv().unwrap();
+            match msg.payload {
+                Payload::Data { kind, page } => {
+                    inbox.push((msg.sent_at_ms.to_bits(), kind, page.decode_all().unwrap()))
+                }
+                Payload::Control(Control::EndOfStream) => break,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        (
+            result,
+            (
+                clock.now_ms().to_bits(),
+                clock.breakdown().cpu_ms.to_bits(),
+                clock.breakdown().io_ms.to_bits(),
+            ),
+            (scan.raw_seen, scan.switched),
+            events,
+            partials,
+            inbox,
+        )
+    }
+
+    #[test]
+    fn page_arm_is_bit_identical_to_the_row_arm() {
+        let uniform = |tuples, groups| RelationSpec::uniform(tuples, groups).generate_tuples();
+        // (tuples, max_entries, crash point): no switch; a mid-page
+        // switch; a switch on a page's first row (tuple 41 at 40 tuples
+        // per page); crashes before, inside and after the switch page.
+        let shapes: [(Vec<Vec<Value>>, usize, Option<u64>); 7] = [
+            (uniform(2000, 50), 1000, None),
+            (uniform(2000, 900), 60, None),
+            (uniform(2000, 2000), 40, None),
+            (uniform(2000, 900), 60, Some(37)),
+            (uniform(2000, 900), 60, Some(75)),
+            (uniform(2000, 900), 60, Some(1234)),
+            (uniform(2000, 50), 1000, Some(80)),
+        ];
+        for (i, (tuples, m, crash)) in shapes.iter().enumerate() {
+            let row = scan_node0(tuples, *m, *crash, false);
+            let paged = scan_node0(tuples, *m, *crash, true);
+            assert_eq!(paged.0, row.0, "shape {i}: outcome");
+            assert_eq!(paged.1, row.1, "shape {i}: clock bits");
+            assert_eq!(paged.2, row.2, "shape {i}: scan counters");
+            assert_eq!(paged.3, row.3, "shape {i}: events");
+            assert_eq!(paged.4, row.4, "shape {i}: table partials");
+            assert_eq!(paged.5, row.5, "shape {i}: node 1 inbox");
+        }
+        // The shapes cover what they claim.
+        let switched_at = |i: usize| {
+            let (tuples, m, crash) = &shapes[i];
+            scan_node0(tuples, *m, *crash, true).3
+        };
+        assert!(switched_at(0).is_empty());
+        let mid_page = |e: &[AdaptEvent]| {
+            matches!(e, [AdaptEvent::SwitchedToRepartitioning { at_tuple }] if at_tuple % 40 != 1)
+        };
+        assert!(mid_page(&switched_at(1)));
+        assert_eq!(
+            switched_at(2),
+            vec![AdaptEvent::SwitchedToRepartitioning { at_tuple: 41 }]
+        );
     }
 
     #[test]

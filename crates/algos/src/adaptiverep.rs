@@ -116,7 +116,7 @@ pub fn run_node(
             let grant = ctx.grant().clone();
             let state =
                 a2p.get_or_insert_with(|| ScanState::new(plan, max_entries).with_grant(grant));
-            state.push(ctx, &mut ex, plan, values, &mut events)
+            state.push(ctx, &mut ex, values, &mut events)
         } else {
             // Repartitioning: hash + destination per tuple.
             ex.route(ctx, values, true)

@@ -34,10 +34,8 @@ use adaptagg_exec::{
     ScanJournal,
 };
 use adaptagg_hashagg::{HashAggStats, HashAggregator, IntraEvent, IntraMode, ParOutcome, ParTables};
-use adaptagg_model::hash::{hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values};
 use adaptagg_model::{CostEvent, CostTracker, ResultRow, RowKind, Seed, Value};
 use adaptagg_net::{Control, Message, Page, Payload};
-use adaptagg_storage::StripView;
 
 use crate::common::{trace_hashagg, QueryPlan};
 
@@ -425,14 +423,7 @@ fn par_aggregate_stash(
                     let batched = if columnar { page.uniform_arity() } else { None };
                     if let Some(arity) = batched {
                         let k = key_len.min(arity);
-                        hash_batch_init(Seed::Table, page.tuple_count(), &mut hashes);
-                        for j in 0..k {
-                            match page.column(j).expect("uniform-arity page has dense strips") {
-                                StripView::Ints(xs) => hash_batch_ints(&mut hashes, xs),
-                                StripView::Values(vs) => hash_batch_values(&mut hashes, vs),
-                            }
-                        }
-                        hash_batch_finish(&mut hashes);
+                        page.hash_rows(Seed::Table, 0..k, 0..page.tuple_count(), &mut hashes);
                     }
                     let mut ordinal = 0u64;
                     let mut rows = 0u64;

@@ -17,12 +17,11 @@
 
 use crate::error::ExecError;
 use crate::node::NodeCtx;
-use adaptagg_model::hash::{
-    hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values, hash_values, Seed,
-};
+use adaptagg_model::hash::{hash_values, Seed};
 use adaptagg_model::{CostEvent, CostTracker, Value};
 use adaptagg_net::{Blocker, Control, DataKind};
-use adaptagg_storage::{Page, StripView};
+use adaptagg_storage::Page;
+use std::ops::Range;
 
 /// Per-row cost template for a hash route (`t_h + t_d`).
 const ROUTE_WITH_HASH: [CostEvent; 2] = [CostEvent::TupleHash, CostEvent::TupleDest];
@@ -47,16 +46,6 @@ pub struct Exchange {
     row_scratch: Vec<Value>,
     /// Pooled per-page hash vector for the batched route.
     hash_scratch: Vec<u64>,
-    /// Whether [`Exchange::route_page`] hashes whole key columns through
-    /// the batch kernels (`ADAPTAGG_COLUMNAR` ≠ `"row"`) or per row.
-    /// Either way the destinations, charges and timestamps are identical.
-    columnar: bool,
-}
-
-/// Read the `ADAPTAGG_COLUMNAR` knob (per construction, not cached):
-/// `"row"` forces the row-at-a-time path.
-fn columnar_default() -> bool {
-    std::env::var("ADAPTAGG_COLUMNAR").map(|v| v != "row").unwrap_or(true)
 }
 
 impl Exchange {
@@ -72,7 +61,6 @@ impl Exchange {
             routed: 0,
             row_scratch: Vec::new(),
             hash_scratch: Vec::new(),
-            columnar: columnar_default(),
         }
     }
 
@@ -140,86 +128,39 @@ impl Exchange {
         let template = route_template(charge_hash);
         let mut pending = 0u64;
         for values in rows {
-            self.route_batched(ctx, values.as_ref(), template, &mut pending)?;
+            let values = values.as_ref();
+            let dest = self.destination_of(values);
+            self.route_to_batched(ctx, dest, values, template, &mut pending)?;
         }
         ctx.clock.record_tuples(template, pending);
         Ok(())
     }
 
-    /// Route every tuple on a page — [`Exchange::route_rows`] for rows
-    /// still in wire format (e.g. forwarding a received block). Decodes
-    /// into a reused scratch row; same bit-exact cost contract.
-    pub fn route_page(
+    /// Route rows `rows` of `page`, projected through the column map
+    /// `cols` (routed column `j` = page column `cols[j]`, every one a
+    /// dense strip), deferring `template` per row: one
+    /// [`Seed::Partition`] hash kernel pass over the key strips picks
+    /// every destination, then rows are blocked in order. Deferred
+    /// charges are flushed before every send, so charges, destinations
+    /// and send timestamps equal projecting and routing each row alone.
+    pub fn route_page_rows(
         &mut self,
         ctx: &mut NodeCtx,
         page: &Page,
-        charge_hash: bool,
+        cols: &[usize],
+        rows: Range<usize>,
+        template: &[CostEvent],
     ) -> Result<(), ExecError> {
-        if self.columnar {
-            if let Some(arity) = page.uniform_arity() {
-                return self.route_page_batched(ctx, page, charge_hash, arity);
-            }
-        }
-        let template = route_template(charge_hash);
-        let mut pending = 0u64;
-        let mut scratch = std::mem::take(&mut self.row_scratch);
-        let mut cursor = page.cursor();
-        let result = loop {
-            match cursor.next_into(&mut scratch) {
-                Ok(true) => {
-                    if let Err(e) = self.route_batched(ctx, &scratch, template, &mut pending) {
-                        break Err(e);
-                    }
-                }
-                Ok(false) => break Ok(()),
-                Err(e) => break Err(e.into()),
-            }
-        };
-        self.row_scratch = scratch;
-        ctx.clock.record_tuples(template, pending);
-        result
-    }
-
-    /// The vectorized [`Exchange::route_page`]: one [`Seed::Partition`]
-    /// hash kernel pass over the page's key strips computes every row's
-    /// destination, then rows are blocked in order with their
-    /// precomputed destination. Identical charges, destinations and send
-    /// timestamps as the row loop.
-    fn route_page_batched(
-        &mut self,
-        ctx: &mut NodeCtx,
-        page: &Page,
-        charge_hash: bool,
-        arity: usize,
-    ) -> Result<(), ExecError> {
-        let template = route_template(charge_hash);
-        // Rows shorter than key_len hash their whole prefix — uniform
-        // arity makes that the same truncation for every row.
-        let k = self.key_len.min(arity);
+        // Rows shorter than key_len hash their whole prefix.
+        let k = self.key_len.min(cols.len());
         let mut hashes = std::mem::take(&mut self.hash_scratch);
-        hash_batch_init(Seed::Partition, page.tuple_count(), &mut hashes);
-        for j in 0..k {
-            match page.column(j).expect("uniform-arity page has dense strips") {
-                StripView::Ints(xs) => hash_batch_ints(&mut hashes, xs),
-                StripView::Values(vs) => hash_batch_values(&mut hashes, vs),
-            }
-        }
-        hash_batch_finish(&mut hashes);
-
+        page.hash_rows(Seed::Partition, cols[..k].iter().copied(), rows.clone(), &mut hashes);
         let dests = self.blocker.destinations() as u64;
         let mut pending = 0u64;
         let mut scratch = std::mem::take(&mut self.row_scratch);
-        let mut cursor = page.cursor();
         let mut result = Ok(());
-        for &hash in &hashes {
-            match cursor.next_into(&mut scratch) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => {
-                    result = Err(e.into());
-                    break;
-                }
-            }
+        for (r, &hash) in rows.zip(&hashes) {
+            page.project_row_into(cols, r, &mut scratch);
             let dest = (hash % dests) as usize;
             debug_assert_eq!(dest, self.destination_of(&scratch), "batched dest drifted");
             if let Err(e) = self.route_to_batched(ctx, dest, &scratch, template, &mut pending) {
@@ -233,22 +174,9 @@ impl Exchange {
         result
     }
 
-    /// One row of a batched route: defer the per-row charge, but flush
-    /// all deferred charges before any send so timestamps match the
-    /// per-row path exactly.
-    fn route_batched(
-        &mut self,
-        ctx: &mut NodeCtx,
-        values: &[Value],
-        template: &[CostEvent],
-        pending: &mut u64,
-    ) -> Result<(), ExecError> {
-        let dest = self.destination_of(values);
-        self.route_to_batched(ctx, dest, values, template, pending)
-    }
-
-    /// [`Exchange::route_batched`] with the destination already computed
-    /// (the batched page route hashes whole columns up front).
+    /// One row of a batched route to `dest`: defer the per-row charge,
+    /// but flush all deferred charges before any send so timestamps
+    /// match the per-row path exactly.
     fn route_to_batched(
         &mut self,
         ctx: &mut NodeCtx,
@@ -430,7 +358,7 @@ mod tests {
 
     #[test]
     fn batched_routes_are_bit_identical_to_per_tuple_routes() {
-        // route_rows and route_page must be indistinguishable from the
+        // route_rows and route_page_rows must be indistinguishable from the
         // per-tuple loop: same sealed pages, same send timestamps, same
         // clock bits on the sender.
         let rows: Vec<Vec<Value>> = (0..700).map(row).collect();
@@ -455,7 +383,9 @@ mod tests {
                             assert!(pages.last_mut().unwrap().try_push(r).unwrap());
                         }
                         for p in &pages {
-                            ex.route_page(&mut tx, p, charge_hash).unwrap();
+                            let template = route_template(charge_hash);
+                            ex.route_page_rows(&mut tx, p, &[0, 1], 0..p.tuple_count(), template)
+                                .unwrap();
                         }
                     }
                 }
@@ -479,7 +409,7 @@ mod tests {
                 outcomes.push((tx.clock.now_ms().to_bits(), received));
             }
             assert_eq!(outcomes[0], outcomes[1], "route_rows drifted");
-            assert_eq!(outcomes[0], outcomes[2], "route_page drifted");
+            assert_eq!(outcomes[0], outcomes[2], "route_page_rows drifted");
         }
     }
 

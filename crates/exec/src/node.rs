@@ -147,6 +147,20 @@ impl NodeCtx {
         }
     }
 
+    /// [`NodeCtx::fault_tick`] for a batch of `n` scanned tuples at once:
+    /// counts and returns how many of them may proceed — `n`, unless the
+    /// scheduled crash falls inside the batch. A caller processing fewer
+    /// than `n` then calls `fault_tick` for the next tuple, which fails
+    /// exactly where the per-tuple loop would have.
+    pub fn fault_ticks(&mut self, n: usize) -> usize {
+        let allowed = match self.faults.crash_at_tuple {
+            Some(k) => k.saturating_sub(self.tuples_scanned).min(n as u64) as usize,
+            None => n,
+        };
+        self.tuples_scanned += allowed as u64;
+        allowed
+    }
+
     /// Dismantle the context, handing back its endpoint. The cluster
     /// binaries run one recovery attempt per context but hold a single
     /// established connection mesh for the life of the process; this is
@@ -641,6 +655,27 @@ mod tests {
                 at_tuple: 3
             })
         );
+    }
+
+    #[test]
+    fn batched_fault_ticks_stop_at_the_crash_tuple() {
+        let (mut a, _b) = two_nodes(NetworkKind::high_speed_default());
+        a.apply_faults(adaptagg_net::NodeFaults {
+            crash_at_tuple: Some(7),
+            slowdown_factor: 1.0,
+        });
+        assert_eq!(a.fault_ticks(5), 5);
+        assert_eq!(a.fault_ticks(5), 2, "truncated at the crash tuple");
+        assert_eq!(a.fault_ticks(5), 0);
+        assert_eq!(
+            a.fault_tick(),
+            Err(crate::ExecError::InjectedCrash {
+                node: 0,
+                at_tuple: 7
+            })
+        );
+        let (mut b, _c) = two_nodes(NetworkKind::high_speed_default());
+        assert_eq!(b.fault_ticks(1 << 20), 1 << 20, "no crash: whole batch");
     }
 
     #[test]

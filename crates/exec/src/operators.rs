@@ -14,7 +14,7 @@
 use crate::error::ExecError;
 use crate::node::NodeCtx;
 use adaptagg_model::{CostEvent, CostTracker, ResultRow, Value};
-use adaptagg_storage::HeapFile;
+use adaptagg_storage::{HeapFile, Page};
 
 /// Sequentially scan the node's file `name`, apply the WHERE conjunction
 /// `filter` (over base columns, before projection), project each passing
@@ -68,6 +68,49 @@ where
     result
 }
 
+/// What [`scan_project_pages`] offers its consumer.
+#[derive(Debug, Clone, Copy)]
+pub enum ScanInput<'a> {
+    /// A whole base page, its sequential read already charged. A
+    /// consumer that takes it (`Ok(true)`) owns all of its per-tuple
+    /// work: fault ticks, charges and consumption. One that declines
+    /// (`Ok(false)`, having done nothing) gets the page row by row.
+    Page(&'a Page),
+    /// One projected tuple from the row-at-a-time loop, exactly as
+    /// [`scan_project`] feeds it (the return value is ignored).
+    Row(&'a [Value]),
+}
+
+/// [`scan_project`] without a filter, with a page-at-a-time arm: each
+/// page is first offered whole to `consume`, and only a declined page
+/// runs the row-at-a-time loop.
+pub fn scan_project_pages<F>(
+    ctx: &mut NodeCtx,
+    name: &str,
+    columns: &[usize],
+    mut consume: F,
+) -> Result<(), ExecError>
+where
+    F: FnMut(&mut NodeCtx, ScanInput<'_>) -> Result<bool, ExecError>,
+{
+    let file = ctx.disk.take(name)?;
+    let mut rows = RowScan::new(&[], columns);
+    let result = (|| {
+        for pi in 0..file.page_count() {
+            ctx.clock.record(CostEvent::PageReadSeq, 1);
+            let page = file.page(pi)?;
+            if !consume(ctx, ScanInput::Page(page))? {
+                rows.page(ctx, page, &mut |ctx, values| {
+                    consume(ctx, ScanInput::Row(values)).map(|_| ())
+                })?;
+            }
+        }
+        Ok(())
+    })();
+    ctx.disk.put(name, file);
+    result
+}
+
 fn scan_project_file<F>(
     ctx: &mut NodeCtx,
     file: &HeapFile,
@@ -80,64 +123,100 @@ fn scan_project_file<F>(
 where
     F: FnMut(&mut NodeCtx, &[Value]) -> Result<(), ExecError>,
 {
-    // Columns the scan must materialize: whatever the filter or the
-    // projection reads. An empty projection passes the whole tuple
-    // through, so everything is needed. Wide padding columns outside the
-    // mask are skipped positionally by the decoder (no payload copy).
-    let select: Option<Vec<bool>> = if columns.is_empty() {
-        None
-    } else {
-        let top = columns
-            .iter()
-            .chain(filter.iter().map(|p| &p.column))
-            .copied()
-            .max()
-            .unwrap_or(0);
-        let mut mask = vec![false; top + 1];
-        for &c in columns {
-            mask[c] = true;
-        }
-        for p in filter {
-            mask[p.column] = true;
-        }
-        Some(mask)
-    };
-    let mut raw: Vec<Value> = Vec::new();
-    let mut projected: Vec<Value> = Vec::new();
+    let mut rows = RowScan::new(filter, columns);
     let mut n = 0usize;
     for pi in start_page..end_page {
         ctx.clock.record(CostEvent::PageReadSeq, 1);
-        let page = file.page(pi)?;
+        n += rows.page(ctx, file.page(pi)?, consume)?;
+    }
+    Ok(n)
+}
+
+/// The row-at-a-time scan loop: the filter, the projection, the decode
+/// mask, and the scratch rows it materializes into.
+struct RowScan<'a> {
+    filter: &'a [adaptagg_model::Predicate],
+    columns: &'a [usize],
+    /// Columns the scan must materialize: whatever the filter or the
+    /// projection reads. `None` (empty projection) passes the whole tuple
+    /// through, so everything is needed. Wide padding columns outside
+    /// the mask are skipped positionally by the decoder (no payload copy).
+    select: Option<Vec<bool>>,
+    raw: Vec<Value>,
+    projected: Vec<Value>,
+}
+
+impl<'a> RowScan<'a> {
+    fn new(filter: &'a [adaptagg_model::Predicate], columns: &'a [usize]) -> Self {
+        let select = (!columns.is_empty()).then(|| {
+            let top = columns
+                .iter()
+                .chain(filter.iter().map(|p| &p.column))
+                .copied()
+                .max()
+                .unwrap_or(0);
+            let mut mask = vec![false; top + 1];
+            for &c in columns {
+                mask[c] = true;
+            }
+            for p in filter {
+                mask[p.column] = true;
+            }
+            mask
+        });
+        RowScan {
+            filter,
+            columns,
+            select,
+            raw: Vec::new(),
+            projected: Vec::new(),
+        }
+    }
+
+    /// Scan one page (its read already charged): per tuple, tick the
+    /// fault plan, charge `t_r`, filter, charge `t_w`, project and
+    /// consume. Returns the tuples that passed the filter.
+    fn page<F>(
+        &mut self,
+        ctx: &mut NodeCtx,
+        page: &Page,
+        consume: &mut F,
+    ) -> Result<usize, ExecError>
+    where
+        F: FnMut(&mut NodeCtx, &[Value]) -> Result<(), ExecError>,
+    {
+        let mut n = 0usize;
         let mut cursor = page.cursor();
-        while cursor.next_select_into(select.as_deref(), &mut raw)? {
+        while cursor.next_select_into(self.select.as_deref(), &mut self.raw)? {
             // Scanned tuples are the fault plan's crash currency — a node
             // scheduled to crash at tuple K dies right here.
             ctx.fault_tick()?;
             ctx.clock.record(CostEvent::TupleRead, 1);
-            if !adaptagg_model::matches_all(filter, &raw)? {
+            if !adaptagg_model::matches_all(self.filter, &self.raw)? {
                 continue;
             }
             ctx.clock.record(CostEvent::TupleWrite, 1);
-            if columns.is_empty() {
-                consume(ctx, &raw)?;
+            if self.columns.is_empty() {
+                consume(ctx, &self.raw)?;
             } else {
-                projected.clear();
-                for &c in columns {
-                    projected.push(
-                        raw.get(c)
+                self.projected.clear();
+                for &c in self.columns {
+                    self.projected.push(
+                        self.raw
+                            .get(c)
                             .ok_or(adaptagg_model::ModelError::ColumnOutOfRange {
                                 column: c,
-                                arity: raw.len(),
+                                arity: self.raw.len(),
                             })?
                             .clone(),
                     );
                 }
-                consume(ctx, &projected)?;
+                consume(ctx, &self.projected)?;
             }
             n += 1;
         }
+        Ok(n)
     }
-    Ok(n)
 }
 
 /// Store finalized result rows into the node's `result` file, charging one

@@ -26,14 +26,13 @@
 //! Entries drain in insertion order — deterministic and independent of
 //! any hash-map iteration order.
 
-use adaptagg_model::hash::{
-    hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values, hash_values,
-};
+use adaptagg_model::hash::hash_values;
 use adaptagg_model::{
     AggFunc, AggQuery, AggStates, CostEvent, CostTracker, GroupKey, MemoryGrant, ModelError,
     ResultRow, RowKind, Seed, Value,
 };
 use adaptagg_storage::{Page, StorageError, StripView};
+use std::ops::Range;
 
 /// Outcome of an insert attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,6 +100,10 @@ pub struct AggTable {
     /// Pooled per-page group-index vector (`EMPTY` = row rejected) the
     /// batched probe hands to the deferred column-at-a-time update pass.
     batch_gix: Vec<u32>,
+    /// The identity column map `0..w` over every column the query reads
+    /// (keys and aggregate inputs): the batched probe's map for pages
+    /// already in projected form.
+    identity_cols: Vec<usize>,
 }
 
 impl AggTable {
@@ -122,6 +125,13 @@ impl AggTable {
         let slots = (hint * 8 / 7 + 1).next_power_of_two().max(16);
         let key_len = query.group_by.len();
         let key_is_prefix = query.group_by.iter().enumerate().all(|(i, &c)| c == i);
+        let width = query
+            .aggs
+            .iter()
+            .filter_map(|spec| spec.input.map(|c| c + 1))
+            .chain(query.group_by.iter().map(|&c| c + 1))
+            .max()
+            .unwrap_or(0);
         AggTable {
             query,
             key_is_prefix,
@@ -142,6 +152,7 @@ impl AggTable {
             row_scratch: Vec::new(),
             batch_hashes: Vec::new(),
             batch_gix: Vec::new(),
+            identity_cols: (0..width).collect(),
         }
     }
 
@@ -385,29 +396,16 @@ impl AggTable {
         if !eligible {
             return self.insert_page(kind, page, tracker, on_full);
         }
-        let n = page.tuple_count();
-
         // Phase 1: one vectorized Seed::Table hash per row, folding the
         // key columns in order (bit-identical to hash_values on the row's
         // key prefix by the batch kernels' contract).
         let mut hashes = std::mem::take(&mut self.batch_hashes);
-        hash_batch_init(Seed::Table, n, &mut hashes);
-        for j in 0..k {
-            match page.column(j).expect("uniform-arity page has dense strips") {
-                StripView::Ints(xs) => hash_batch_ints(&mut hashes, xs),
-                StripView::Values(vs) => hash_batch_values(&mut hashes, vs),
-            }
-        }
-        hash_batch_finish(&mut hashes);
+        page.hash_rows(Seed::Table, 0..k, 0..page.tuple_count(), &mut hashes);
 
         // Raw pages whose every aggregate input is an Int strip take the
         // deferred-update fast path; everything else probes row-by-row
         // with the batch hashes (still skipping the per-row hash).
-        let fast = kind == RowKind::Raw
-            && self.query.aggs.iter().all(|spec| match spec.input {
-                None => spec.func == AggFunc::Count,
-                Some(c) => matches!(page.column(c), Some(StripView::Ints(_))),
-            });
+        let fast = kind == RowKind::Raw && self.accepts_page(page, &self.identity_cols);
         let result = if fast {
             self.insert_batched_fast(page, &hashes, tracker, on_full)
         } else {
@@ -417,12 +415,11 @@ impl AggTable {
         result
     }
 
-    /// Fast arm of [`AggTable::insert_page_batched`]: probe every row
-    /// against the strips (no tuple materialization), collect accepted
-    /// rows' entry indices, then replay the aggregate updates
-    /// column-at-a-time. Update order per (spec, entry) is row order —
-    /// exactly the row loop's — so order-sensitive accumulator promotion
-    /// is preserved.
+    /// Fast arm of [`AggTable::insert_page_batched`]: the shared probe
+    /// loop runs until each refused row, which is charged and spooled
+    /// inline; the aggregate updates are then replayed column-at-a-time.
+    /// Update order per (spec, entry) is row order — exactly the row
+    /// loop's — so order-sensitive accumulator promotion is preserved.
     fn insert_batched_fast<T, F>(
         &mut self,
         page: &Page,
@@ -434,55 +431,115 @@ impl AggTable {
         T: CostTracker,
         F: FnMut(&mut T, RowKind, &[Value]) -> Result<(), StorageError>,
     {
-        let k = self.key_len;
         let template = self.accept_template();
+        let cols = std::mem::take(&mut self.identity_cols);
         let mut gix = std::mem::take(&mut self.batch_gix);
         gix.clear();
-        let mut pending = 0u64;
         let mut rejected = 0u64;
         let mut result = Ok(());
-        for (r, &hash) in hashes.iter().enumerate() {
-            let (slot, found, examined) = self.find_row(hash, page, r);
+        let mut r = 0;
+        loop {
+            let accepted = self.probe_until_refusal(page, &cols, r, &hashes[r..], &mut gix);
+            tracker.record_tuples(template, accepted as u64);
+            r += accepted;
+            if r == hashes.len() {
+                break;
+            }
+            gix.push(EMPTY);
+            self.charge_attempt(tracker);
+            rejected += 1;
+            // Materialize the overflow row only now, on the cold path.
+            let mut scratch = std::mem::take(&mut self.row_scratch);
+            page.row_into(r, &mut scratch);
+            let spooled = on_full(tracker, RowKind::Raw, &scratch);
+            self.row_scratch = scratch;
+            if let Err(e) = spooled {
+                result = Err(e);
+                break;
+            }
+            r += 1;
+        }
+        // Deferred updates cover exactly the rows probed above, including
+        // the prefix before an on_full error.
+        self.sweep_deferred(page, &cols, 0, &gix);
+        self.identity_cols = cols;
+        self.batch_gix = gix;
+        result.map(|()| rejected)
+    }
+
+    /// Whether the batched probe can serve raw rows of `page` read through
+    /// the column map `cols` (projected column `j` = page column
+    /// `cols[j]`): prefix keys on dense strips, and every aggregate input
+    /// an `Int` strip (a `COUNT(*)` needs none).
+    pub fn accepts_page(&self, page: &Page, cols: &[usize]) -> bool {
+        let strip = |j: usize| cols.get(j).and_then(|&c| page.column(c));
+        self.key_is_prefix
+            && (0..self.key_len).all(|j| strip(j).is_some())
+            && self.query.aggs.iter().all(|spec| match spec.input {
+                None => spec.func == AggFunc::Count,
+                Some(c) => matches!(strip(c), Some(StripView::Ints(_))),
+            })
+    }
+
+    /// The page-at-a-time scan's table step: hash the keys of rows
+    /// `rows` of a raw page (read through the column map `cols`, see
+    /// [`AggTable::accepts_page`], which must hold) in one kernel pass,
+    /// probe them in order until the first row the table refuses, and
+    /// apply every accepted row's aggregate update. Returns the number of
+    /// rows accepted; when that is short of `rows.len()` the next row was
+    /// refused (its probe counted, nothing stored). Charges nothing — the
+    /// caller charges the accepted prefix as one batch.
+    pub fn insert_rows_until_full(
+        &mut self,
+        page: &Page,
+        cols: &[usize],
+        rows: Range<usize>,
+    ) -> usize {
+        debug_assert!(self.accepts_page(page, cols));
+        let mut hashes = std::mem::take(&mut self.batch_hashes);
+        let mut gix = std::mem::take(&mut self.batch_gix);
+        let keys = cols[..self.key_len].iter().copied();
+        page.hash_rows(Seed::Table, keys, rows.clone(), &mut hashes);
+        gix.clear();
+        let accepted = self.probe_until_refusal(page, cols, rows.start, &hashes, &mut gix);
+        self.sweep_deferred(page, cols, rows.start, &gix);
+        self.batch_hashes = hashes;
+        self.batch_gix = gix;
+        accepted
+    }
+
+    /// The one batched probe loop. Probes rows `first..` of `page`
+    /// (`hashes[i]` is row `first + i`'s [`Seed::Table`] key hash, keys
+    /// read through `cols`) in order, admitting new groups with empty
+    /// states and pushing each accepted row's entry index onto `gix`,
+    /// until the first row the table refuses. Returns the accepted count.
+    /// Charges nothing and updates no states: see
+    /// [`AggTable::sweep_deferred`].
+    fn probe_until_refusal(
+        &mut self,
+        page: &Page,
+        cols: &[usize],
+        first: usize,
+        hashes: &[u64],
+        gix: &mut Vec<u32>,
+    ) -> usize {
+        let k = self.key_len;
+        for (i, &hash) in hashes.iter().enumerate() {
+            let r = first + i;
+            let (slot, found, examined) = self.find_row(hash, page, cols, r);
             self.probe_slots += examined;
             if let Some(entry) = found {
                 self.updates += 1;
                 gix.push(entry as u32);
-                pending += 1;
                 continue;
             }
             if self.keys.len() >= self.effective_max() {
-                gix.push(EMPTY);
-                tracker.record_tuples(template, pending);
-                pending = 0;
-                self.charge_attempt(tracker);
-                rejected += 1;
-                // Materialize the overflow row only now, on the cold path.
-                let mut scratch = std::mem::take(&mut self.row_scratch);
-                scratch.clear();
-                let arity = page.uniform_arity().expect("eligibility checked");
-                for j in 0..arity {
-                    scratch.push(match page.column(j).expect("dense strips") {
-                        StripView::Ints(xs) => Value::Int(xs[r]),
-                        StripView::Values(vs) => vs[r].clone(),
-                    });
-                }
-                let spooled = on_full(tracker, RowKind::Raw, &scratch);
-                self.row_scratch = scratch;
-                if let Err(e) = spooled {
-                    result = Err(e);
-                    break;
-                }
-                continue;
+                return i;
             }
-            // New group: admit with empty states — this row's update is
-            // applied by the deferred pass like any other accepted row.
+            // New group: admitted with empty states — this row's update
+            // is applied by the deferred sweep like any other accepted row.
             let mut key_vec = Vec::with_capacity(k);
-            for j in 0..k {
-                key_vec.push(match page.column(j).expect("dense strips") {
-                    StripView::Ints(xs) => Value::Int(xs[r]),
-                    StripView::Values(vs) => vs[r].clone(),
-                });
-            }
+            page.project_row_into(&cols[..k], r, &mut key_vec);
             let entry = u32::try_from(self.keys.len()).expect("table exceeds u32 entries");
             self.keys.push(GroupKey::new(key_vec));
             self.hashes.push(hash);
@@ -493,13 +550,14 @@ impl AggTable {
                 self.grow();
             }
             gix.push(entry);
-            pending += 1;
         }
-        tracker.record_tuples(template, pending);
+        hashes.len()
+    }
 
-        // Deferred updates, column-at-a-time over the group-index vector
-        // (covers exactly the rows probed above, including the partial
-        // prefix before an on_full error).
+    /// Apply the deferred aggregate updates column-at-a-time: `gix[i]` is
+    /// the entry row `first + i` landed in (`EMPTY` = refused, skipped),
+    /// aggregate inputs read through `cols`.
+    fn sweep_deferred(&mut self, page: &Page, cols: &[usize], first: usize, gix: &[u32]) {
         let Self {
             ref mut states,
             ref query,
@@ -508,26 +566,24 @@ impl AggTable {
         for (j, spec) in query.aggs.iter().enumerate() {
             match spec.input {
                 None => {
-                    for &e in gix.iter() {
+                    for &e in gix {
                         if e != EMPTY {
                             states[e as usize].update_star_at(j);
                         }
                     }
                 }
                 Some(c) => {
-                    let Some(StripView::Ints(xs)) = page.column(c) else {
-                        unreachable!("fast arm requires Int input strips")
+                    let Some(StripView::Ints(xs)) = page.column(cols[c]) else {
+                        unreachable!("the batched probe requires Int input strips")
                     };
-                    for (r, &e) in gix.iter().enumerate() {
+                    for (&e, &x) in gix.iter().zip(&xs[first..]) {
                         if e != EMPTY {
-                            states[e as usize].update_int_at(j, xs[r]);
+                            states[e as usize].update_int_at(j, x);
                         }
                     }
                 }
             }
         }
-        self.batch_gix = gix;
-        result.map(|()| rejected)
     }
 
     /// Slow arm of [`AggTable::insert_page_batched`]: rows are
@@ -591,7 +647,13 @@ impl AggTable {
     /// [`AggTable::find`] against a page row's key prefix read straight
     /// from the column strips — no row materialization, no allocation.
     #[inline]
-    fn find_row(&self, hash: u64, page: &Page, r: usize) -> (usize, Option<usize>, u64) {
+    fn find_row(
+        &self,
+        hash: u64,
+        page: &Page,
+        cols: &[usize],
+        r: usize,
+    ) -> (usize, Option<usize>, u64) {
         let mut i = (hash as usize) & self.mask;
         let mut examined = 1u64;
         loop {
@@ -600,7 +662,7 @@ impl AggTable {
                 return (i, None, examined);
             }
             let e = s as usize;
-            if self.hashes[e] == hash && self.key_matches_row(e, page, r) {
+            if self.hashes[e] == hash && self.key_matches_row(e, page, cols, r) {
                 return (i, Some(e), examined);
             }
             i = (i + 1) & self.mask;
@@ -608,13 +670,13 @@ impl AggTable {
         }
     }
 
-    /// Whether entry's stored key equals row `r`'s key prefix, comparing
-    /// cell-by-cell against the strips.
+    /// Whether entry's stored key equals row `r`'s key (read through the
+    /// column map `cols`), comparing cell-by-cell against the strips.
     #[inline]
-    fn key_matches_row(&self, entry: usize, page: &Page, r: usize) -> bool {
+    fn key_matches_row(&self, entry: usize, page: &Page, cols: &[usize], r: usize) -> bool {
         let stored = self.keys[entry].values();
         debug_assert_eq!(stored.len(), self.key_len);
-        stored.iter().enumerate().all(|(j, kv)| match page.column(j) {
+        stored.iter().zip(cols).all(|(kv, &c)| match page.column(c) {
             Some(StripView::Ints(xs)) => matches!(kv, Value::Int(x) if *x == xs[r]),
             Some(StripView::Values(vs)) => kv == &vs[r],
             None => false,

@@ -491,6 +491,10 @@ impl Drop for TcpTransport {
             }
         }
         let _ = TcpStream::connect(self.listen_addr);
+        // Wake the heartbeat thread mid-interval.
+        for handle in &self.threads {
+            handle.thread().unpark();
+        }
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
@@ -608,7 +612,17 @@ fn spawn_heartbeat_thread(
     thread::Builder::new()
         .name(format!("tcp-heartbeat-{}", shared.node))
         .spawn(move || loop {
-            thread::sleep(cfg.heartbeat_interval);
+            // Wait out one interval, but wake as soon as the transport
+            // shuts down: drop unparks this thread, and an unpark that
+            // lands before the park makes the park return at once.
+            let tick = Instant::now() + cfg.heartbeat_interval;
+            while !shared.is_shutdown() {
+                let left = tick.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break;
+                }
+                thread::park_timeout(left);
+            }
             if shared.is_shutdown() {
                 return;
             }
@@ -736,6 +750,26 @@ mod tests {
     }
 
     #[test]
+    fn drop_does_not_wait_out_a_heartbeat_interval() {
+        let cfg = TcpConfig {
+            heartbeat_interval: Duration::from_secs(1),
+            heartbeat_timeout: Duration::from_secs(10),
+            ..TcpConfig::snappy()
+        };
+        let mut ts = loopback_transports(2, cfg).unwrap();
+        let (mut a, b) = (ts.remove(0), ts.remove(0));
+        a.send(1, control_msg(0, 5)).unwrap();
+        let started = Instant::now();
+        drop(a);
+        drop(b);
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(300),
+            "dropping a connected mesh took {took:?} against a 1 s heartbeat"
+        );
+    }
+
+    #[test]
     fn graceful_drop_is_not_a_death() {
         let mut ts = loopback_transports(2, TcpConfig::snappy()).unwrap();
         let (mut a, b) = (ts.remove(0), ts.remove(0));
@@ -771,7 +805,7 @@ mod tests {
             }
         };
         assert_eq!(failure.err, NetError::PeerDown { peer: 1 });
-        assert_eq!(failure.msg, original, "failed send hands the message back");
+        assert_eq!(*failure.msg, original, "failed send hands the message back");
     }
 
     #[test]

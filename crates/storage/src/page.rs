@@ -17,7 +17,11 @@
 //! reconstructs rows from the strips.
 
 use crate::error::StorageError;
+use adaptagg_model::hash::{
+    hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values, Seed,
+};
 use adaptagg_model::{decode_tuple_into, encode_value, encoded_len, Value};
+use std::ops::Range;
 
 /// A page of tuples with a byte-capacity bound, stored column-wise.
 #[derive(Debug, Clone)]
@@ -241,6 +245,40 @@ impl Page {
         })
     }
 
+    /// One `seed` hash per row in `rows`, folding the columns `cols` in
+    /// order through the batch kernels: entry `i` of `out` is
+    /// bit-identical to `hash_values(seed, …)` over row `rows.start + i`'s
+    /// cells at `cols`. `out` is cleared and refilled (callers pool it).
+    /// Every column in `cols` must be dense ([`Page::column`] is `Some`).
+    pub fn hash_rows<I>(&self, seed: Seed, cols: I, rows: Range<usize>, out: &mut Vec<u64>)
+    where
+        I: IntoIterator<Item = usize>,
+    {
+        hash_batch_init(seed, rows.len(), out);
+        for c in cols {
+            match self.column(c).expect("hashed columns are dense strips") {
+                StripView::Ints(xs) => hash_batch_ints(out, &xs[rows.clone()]),
+                StripView::Values(vs) => hash_batch_values(out, &vs[rows.clone()]),
+            }
+        }
+        hash_batch_finish(out);
+    }
+
+    /// Materialize row `r` into `out` (cleared first, allocation reused).
+    pub fn row_into(&self, r: usize, out: &mut Vec<Value>) {
+        out.clear();
+        out.extend(self.cols[..usize::from(self.arities[r])].iter().map(|c| c.get(r)));
+    }
+
+    /// Materialize row `r`'s cells at columns `cols`, in that order, into
+    /// `out` — the column-map counterpart of [`PageCursor::next_into`].
+    /// Every column in `cols` must exist on row `r`.
+    pub fn project_row_into(&self, cols: &[usize], r: usize, out: &mut Vec<Value>) {
+        debug_assert!(cols.iter().all(|&c| c < usize::from(self.arities[r])));
+        out.clear();
+        out.extend(cols.iter().map(|&c| self.cols[c].get(r)));
+    }
+
     /// Iterate over the page's tuples, materializing each row from the
     /// strips.
     pub fn iter(&self) -> PageIter<'_> {
@@ -424,6 +462,28 @@ mod tests {
 
     fn ints(n: i64) -> Vec<Value> {
         vec![Value::Int(n), Value::Int(n * 2)]
+    }
+
+    #[test]
+    fn column_map_hashes_and_rows_match_the_row_path() {
+        let mut p = Page::new(1 << 12);
+        for i in 0..30i64 {
+            let row = [Value::Int(i % 4), Value::Str(format!("s{i}").into()), Value::Int(-i)];
+            assert!(p.try_push(&row).unwrap());
+        }
+        let cols = [2, 0, 1];
+        let mut hashes = Vec::new();
+        p.hash_rows(Seed::Partition, cols.iter().copied(), 5..17, &mut hashes);
+        assert_eq!(hashes.len(), 12);
+        let (mut row, mut projected) = (Vec::new(), Vec::new());
+        for (r, &h) in (5..17).zip(&hashes) {
+            p.row_into(r, &mut row);
+            assert_eq!(row, p.decode_all().unwrap()[r]);
+            p.project_row_into(&cols, r, &mut projected);
+            let expect: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
+            assert_eq!(projected, expect);
+            assert_eq!(h, adaptagg_model::hash::hash_values(Seed::Partition, &projected));
+        }
     }
 
     #[test]

@@ -11,9 +11,16 @@
 //! one process on multiple threads, and a shared global counter would pick
 //! up allocations from unrelated tests.
 
+use adaptagg_algos::adaptive2p::ScanState;
+use adaptagg_algos::common::QueryPlan;
+use adaptagg_exec::{Exchange, NodeCtx};
 use adaptagg_hashagg::AggTable;
-use adaptagg_model::{AggFunc, AggQuery, AggSpec, CountingTracker, RowKind, Value};
-use adaptagg_storage::Page;
+use adaptagg_model::{
+    AggFunc, AggQuery, AggSpec, CostParams, CountingTracker, NetworkKind, RowKind, Value,
+};
+use adaptagg_net::{Fabric, Payload};
+use adaptagg_storage::{Page, SimDisk};
+use adaptagg_workload::{default_query, RelationSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -133,4 +140,105 @@ fn resident_group_updates_do_not_allocate() {
         1000
     );
     assert_eq!(table.len(), GROUPS as usize, "no groups were added");
+
+    // Page-at-a-time A-2P scan over base pages `(g, v, pad)` of resident
+    // groups: a 1-node cluster whose exchange ships to itself. Every
+    // window runs the batched scan arm page after page; after each page
+    // the inbox is drained and the sealed message pages go back to the
+    // pool, as the merge phase would return them. The in-process fabric's
+    // message queue allocates one block per so many messages, whoever
+    // sends them; the window is charged only for allocations beyond what
+    // the bare fabric makes for the same message sequence.
+    let base = RelationSpec::uniform(40, GROUPS as usize).generate_tuples();
+    let mut base_page = Page::new(4096);
+    for row in &base {
+        assert!(base_page.try_push(row).unwrap());
+    }
+    let plan = QueryPlan::new(&default_query());
+    let scan_window = |max_entries: usize, expect_switch: bool| -> i64 {
+        let mut ctx = one_node_ctx();
+        let mut ex = Exchange::new(1, 2048, plan.key_len(), RowKind::Partial);
+        let mut scan = ScanState::new(&plan, max_entries);
+        let mut events = Vec::new();
+        let mut pass = |ctx: &mut NodeCtx, ex: &mut Exchange, scan: &mut ScanState| {
+            assert!(scan.push_page(ctx, ex, &plan, &base_page, &mut events).unwrap());
+            drain_to_pool(ctx);
+        };
+        // Warm-up: admits the groups (or fills the table and switches),
+        // sizes the scratch vectors and stocks the page pool.
+        for _ in 0..200 {
+            pass(&mut ctx, &mut ex, &mut scan);
+        }
+        assert_eq!(scan.switched, expect_switch);
+        let mut excess = i64::MAX;
+        for _attempt in 0..5 {
+            let sent_before = messages_sent(&ctx);
+            let before = ALLOCS.load(Ordering::Relaxed);
+            for _round in 0..1000 {
+                pass(&mut ctx, &mut ex, &mut scan);
+            }
+            let counted = ALLOCS.load(Ordering::Relaxed) - before;
+            let fabric = bare_fabric_allocs(sent_before, messages_sent(&ctx) - sent_before);
+            excess = counted as i64 - fabric as i64;
+            if excess == 0 {
+                break;
+            }
+        }
+        excess
+    };
+    let before_switch = scan_window(10_000, false);
+    assert_eq!(
+        before_switch, 0,
+        "A-2P page scan on resident groups allocated {before_switch} extra times over 1000 pages"
+    );
+    let after_switch = scan_window(GROUPS as usize / 2, true);
+    assert_eq!(
+        after_switch, 0,
+        "A-2P page scan after the switch allocated {after_switch} extra times over 1000 pages"
+    );
+}
+
+fn one_node_ctx() -> NodeCtx {
+    let mut eps = Fabric::new(1, NetworkKind::high_speed_default()).into_endpoints();
+    NodeCtx::new(eps.pop().unwrap(), SimDisk::new(), CostParams::paper_default())
+}
+
+/// Receive every arrived message, returning data pages to the pool.
+fn drain_to_pool(ctx: &mut NodeCtx) {
+    while let Some(msg) = ctx.try_recv().unwrap() {
+        if let Payload::Data { page, .. } = msg.payload {
+            ctx.page_pool.put(page);
+        }
+    }
+}
+
+fn messages_sent(ctx: &NodeCtx) -> u64 {
+    let net = ctx.net_stats();
+    net.raw_pages_sent + net.partial_pages_sent + net.control_sent
+}
+
+/// Allocations a fresh 1-node fabric makes sending itself messages
+/// `warm..warm + window` of a pooled-page message sequence (counted over
+/// the window only): the queue's own share of a scan window that sent
+/// the same messages.
+fn bare_fabric_allocs(warm: u64, window: u64) -> u64 {
+    if window == 0 {
+        return 0;
+    }
+    assert!(warm > 0, "the warm-up stocks the page pool");
+    let mut ctx = one_node_ctx();
+    let send = |ctx: &mut NodeCtx| {
+        let mut page = ctx.page_pool.get(2048);
+        assert!(page.try_push(&[Value::Int(1), Value::Int(2)]).unwrap());
+        ctx.send_page(0, RowKind::Raw, page).unwrap();
+        drain_to_pool(ctx);
+    };
+    for _ in 0..warm {
+        send(&mut ctx);
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..window {
+        send(&mut ctx);
+    }
+    ALLOCS.load(Ordering::Relaxed) - before
 }

@@ -12,9 +12,8 @@
 //! `alloc_hot_path.rs`, its own binary, for the same reason.)
 
 use adaptagg::hashagg::{IntraMode, IntraStrategy, ParTables};
-use adaptagg::model::hash::{hash_batch_finish, hash_batch_init, hash_batch_ints, hash_batch_values};
 use adaptagg::model::{AggFunc, AggQuery, AggSpec, MemoryGrant, RowKind, Seed, Value};
-use adaptagg::storage::{Page, PagePool, StripView};
+use adaptagg::storage::{Page, PagePool};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -96,7 +95,7 @@ fn parallel_steady_state_does_not_allocate() {
                     assert!(stash.try_push(&[Value::Int(g), Value::Int(1)]).unwrap());
                 }
                 let mut hashes: Vec<u64> = Vec::new();
-                hash_batch_init(Seed::Table, stash.tuple_count(), &mut hashes);
+                stash.hash_rows(Seed::Table, 0..1, 0..stash.tuple_count(), &mut hashes);
                 warm.wait();
                 for _attempt in 0..ATTEMPTS {
                     go.wait();
@@ -118,12 +117,7 @@ fn parallel_steady_state_does_not_allocate() {
                                     .expect("no abort");
                             }
                         } else {
-                            hash_batch_init(Seed::Table, stash.tuple_count(), &mut hashes);
-                            match stash.column(0).expect("dense key strip") {
-                                StripView::Ints(xs) => hash_batch_ints(&mut hashes, xs),
-                                StripView::Values(vs) => hash_batch_values(&mut hashes, vs),
-                            }
-                            hash_batch_finish(&mut hashes);
+                            stash.hash_rows(Seed::Table, 0..1, 0..stash.tuple_count(), &mut hashes);
                             for g in 0..GROUPS {
                                 let row = [Value::Int(g), Value::Int(round)];
                                 tables

@@ -216,11 +216,8 @@ fn max_capacity_page_roundtrips() {
     let capacity = per * 7 + per / 2; // room for exactly 7 rows
     let mut page = Page::new(capacity);
     let mut expect = Vec::new();
-    loop {
-        match page.try_push(&row).unwrap() {
-            true => expect.push(row.clone()),
-            false => break,
-        }
+    while page.try_push(&row).unwrap() {
+        expect.push(row.clone());
     }
     assert_eq!(expect.len(), 7);
     assert!(!page.fits(per));

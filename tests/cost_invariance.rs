@@ -16,14 +16,17 @@
 //! To recapture after an *intentional* cost-model change (never a perf
 //! change):  cargo test --test cost_invariance print_pins -- --ignored --nocapture
 
-use adaptagg_algos::{run_algorithm, AlgorithmKind};
+use adaptagg_algos::{reference_aggregate, run_algorithm, AdaptEvent, AlgorithmKind};
 use adaptagg_exec::{Clock, ClusterConfig};
 use adaptagg_hashagg::{EmitMode, HashAggregator};
 use adaptagg_model::{
-    AggFunc, AggQuery, AggSpec, CostEvent, CostParams, CostTracker, CountingTracker, RowKind,
-    Value,
+    AggFunc, AggQuery, AggSpec, Compare, CostEvent, CostParams, CostTracker, CountingTracker,
+    MemoryGrant, Predicate, RowKind, Value,
 };
-use adaptagg_workload::{default_query, generate_partitions, RelationSpec};
+use adaptagg_storage::HeapFile;
+use adaptagg_workload::{
+    default_query, generate_partitions, round_robin_partitions, RelationSpec,
+};
 
 /// Projected-form query used by the component harness:
 /// `SELECT g, SUM(v), COUNT(*) GROUP BY g` over (g, v) rows.
@@ -170,6 +173,190 @@ fn cluster_virtual_times_are_pinned_at_every_thread_count() {
                 elapsed.to_bits()
             );
         }
+    }
+}
+
+/// An Adaptive Two Phase run shape for the A-2P pins: input partitions,
+/// query, cost parameters and an optional per-node memory grant.
+struct A2pShape {
+    name: &'static str,
+    parts: Vec<HeapFile>,
+    query: AggQuery,
+    params: CostParams,
+    grant: Option<usize>,
+}
+
+fn params_with_m(max_hash_entries: usize) -> CostParams {
+    CostParams {
+        max_hash_entries,
+        ..CostParams::paper_default()
+    }
+}
+
+/// The pinned A-2P shapes, all on the fast net (whose arrival handling
+/// is schedule-independent, so every figure is a function of the inputs).
+fn a2p_shapes() -> Vec<A2pShape> {
+    let uniform =
+        |tuples, groups, nodes| generate_partitions(&RelationSpec::uniform(tuples, groups), nodes);
+    // Str group keys: the key strip holds general values, so the scan
+    // cannot take the Int-strip page loop.
+    let str_keys: Vec<Vec<Value>> = RelationSpec::uniform(4000, 900)
+        .generate_tuples()
+        .into_iter()
+        .map(|mut t| {
+            let Value::Int(g) = t[0] else { unreachable!("Int group column") };
+            t[0] = Value::Str(format!("key-{g}").into_boxed_str());
+            t
+        })
+        .collect();
+    vec![
+        // Every node switches part-way through a page.
+        A2pShape {
+            name: "4n_mid_page_switch",
+            parts: uniform(8000, 2000, 4),
+            query: default_query(),
+            params: params_with_m(100),
+            grant: None,
+        },
+        // Both nodes switch on the first row of a page (tuple 241 = row
+        // 0 of page 6 at 40 tuples per page).
+        A2pShape {
+            name: "2n_first_row_switch",
+            parts: uniform(6000, 3000, 2),
+            query: default_query(),
+            params: params_with_m(235),
+            grant: None,
+        },
+        // A broker grant squeezed far below M: the switch fires when the
+        // table reaches the grant, mid-scan.
+        A2pShape {
+            name: "2n_grant_squeeze",
+            parts: uniform(6000, 1500, 2),
+            query: default_query(),
+            params: params_with_m(10_000),
+            grant: Some(130),
+        },
+        // A WHERE clause keeps the scan on its row-at-a-time arm.
+        A2pShape {
+            name: "2n_where",
+            parts: uniform(6000, 1500, 2),
+            query: default_query().with_filter(vec![Predicate::new(
+                1,
+                Compare::Lt,
+                Value::Int(600),
+            )]),
+            params: params_with_m(200),
+            grant: None,
+        },
+        A2pShape {
+            name: "2n_str_keys",
+            parts: round_robin_partitions(&str_keys, 2, 4096),
+            query: default_query(),
+            params: params_with_m(150),
+            grant: None,
+        },
+        // `local_1n` scaled down: one node, every group resident.
+        A2pShape {
+            name: "1n_local",
+            parts: uniform(40_000, 800, 1),
+            query: default_query(),
+            params: CostParams::paper_default(),
+            grant: None,
+        },
+    ]
+}
+
+/// What an A-2P pin fixes about a run: whole-run virtual time (f64
+/// bits), result row count, each node's switch point (`None` = stayed
+/// Two Phase), and the sender-side traffic totals
+/// `[raw_pages_sent, partial_pages_sent, tuples_sent, bytes_sent]`.
+type A2pPin = (u64, usize, Vec<Option<u64>>, [u64; 4]);
+
+fn a2p_fingerprint(shape: &A2pShape, threads: usize) -> A2pPin {
+    let nodes = shape.parts.len();
+    let mut config = ClusterConfig::new(nodes, shape.params.clone()).with_threads(threads);
+    if let Some(g) = shape.grant {
+        config = config.with_grants((0..nodes).map(|_| MemoryGrant::bounded(g)).collect());
+    }
+    let out = run_algorithm(
+        AlgorithmKind::AdaptiveTwoPhase,
+        &config,
+        &shape.parts,
+        &shape.query,
+    )
+    .unwrap();
+    let reference = reference_aggregate(&shape.parts, &shape.query).unwrap();
+    assert_eq!(out.rows, reference, "{}: rows differ from the reference", shape.name);
+    let switches = out
+        .nodes
+        .iter()
+        .map(|n| {
+            n.events.iter().find_map(|e| match e {
+                AdaptEvent::SwitchedToRepartitioning { at_tuple } => Some(*at_tuple),
+                _ => None,
+            })
+        })
+        .collect();
+    let net = out.run.total_net();
+    (
+        out.elapsed_ms().to_bits(),
+        out.rows.len(),
+        switches,
+        [
+            net.raw_pages_sent,
+            net.partial_pages_sent,
+            net.tuples_sent,
+            net.bytes_sent,
+        ],
+    )
+}
+
+/// Pinned A-2P fingerprints, in `a2p_shapes` order (captured from the
+/// row-at-a-time scan, before the page-at-a-time scan replaced it).
+#[allow(clippy::type_complexity)]
+const A2P_PINS: &[(&str, u64, usize, &[Option<u64>], [u64; 4])] = &[
+    ("4n_mid_page_switch", 0x4069bb9999999110, 2000, &[Some(101), Some(102), Some(101), Some(102)], [80, 16, 7998, 163560]), // 205.8625 ms
+    ("2n_first_row_switch", 0x4073ee6b851eb0d7, 3000, &[Some(241), Some(241)], [56, 8, 5990, 124030]), // 318.90125 ms
+    ("2n_grant_squeeze", 0x40732e947ae1403c, 1500, &[Some(136), Some(135)], [58, 4, 5991, 122160]), // 306.91125 ms
+    ("2n_where", 0x406c998d4fdf3309, 1443, &[Some(209), Some(214)], [33, 8, 3513, 73860]), // 228.7985 ms
+    ("2n_str_keys", 0x40699ef5c28f5415, 900, &[Some(161), Some(159)], [43, 8, 3982, 93737]), // 204.9675 ms
+    ("1n_local", 0x40a41dccccccfb1e, 800, &[None], [0, 12, 800, 23200]), // 2574.9 ms
+];
+
+#[test]
+fn a2p_runs_are_pinned_at_every_thread_count() {
+    let shapes = a2p_shapes();
+    assert_eq!(shapes.len(), A2P_PINS.len());
+    for (shape, &(name, bits, rows, switches, net)) in shapes.iter().zip(A2P_PINS) {
+        assert_eq!(shape.name, name);
+        for threads in [1usize, 2, 4, 8] {
+            let (got_bits, got_rows, got_switches, got_net) = a2p_fingerprint(shape, threads);
+            let ctx = format!("{name} threads={threads}");
+            assert_eq!(
+                got_bits,
+                bits,
+                "{ctx}: virtual time drifted to {} ms ({got_bits:#018x})",
+                f64::from_bits(got_bits)
+            );
+            assert_eq!(got_rows, rows, "{ctx}: row count");
+            assert_eq!(got_switches, switches, "{ctx}: switch points");
+            assert_eq!(got_net, net, "{ctx}: traffic");
+        }
+    }
+}
+
+/// Capture tool for `A2P_PINS`:
+///   cargo test --release --test cost_invariance print_a2p_pins -- --ignored --nocapture
+#[test]
+#[ignore]
+fn print_a2p_pins() {
+    for shape in a2p_shapes() {
+        let (bits, rows, switches, net) = a2p_fingerprint(&shape, 1);
+        println!(
+            "    (\"{}\", {bits:#018x}, {rows}, &{switches:?}, {net:?}), // {} ms",
+            shape.name,
+            f64::from_bits(bits)
+        );
     }
 }
 
